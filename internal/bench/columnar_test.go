@@ -24,7 +24,7 @@ func colRecordBytes(t *testing.T, recs []data.Record) []byte {
 // and be meaningfully faster on wall clock. The gate here is a
 // conservative 1.5× at a mid size so it holds under the race detector
 // and on loaded CI boxes; the full ≥2× at 1M rows is demonstrated by
-// the suite's columnar area and enforced against BENCH_columnar.json.
+// `rheem-bench -experiment columnar` (E13).
 func TestColumnarSpeedup(t *testing.T) {
 	const rows, reps = 200_000, 3
 	recs := ColumnarRecords(rows)

@@ -10,6 +10,7 @@ import (
 	"rheem/internal/core/optimizer"
 	"rheem/internal/core/physical"
 	"rheem/internal/core/plan"
+	"rheem/internal/core/trace"
 	"rheem/internal/data"
 	"rheem/internal/platform/javaengine"
 	"rheem/internal/platform/relengine"
@@ -230,10 +231,11 @@ func TestSchedulerHonorsDependencies(t *testing.T) {
 	}
 }
 
-// TestMonitorSerializedUnderParallelism asserts the Monitor contract:
-// callbacks never overlap, so an unsynchronized callback counter still
-// ends up exact, and per-atom event order stays start → done.
-func TestMonitorSerializedUnderParallelism(t *testing.T) {
+// TestConsumerSerializedUnderParallelism asserts the trace consumer
+// contract: callbacks never overlap, so an unsynchronized callback
+// counter still ends up exact, and per-atom event order stays
+// start → done.
+func TestConsumerSerializedUnderParallelism(t *testing.T) {
 	const branches, recs = 8, 16
 	reg := triRegistry(t)
 	ep := optimizeFanOut(t, reg, branches, recs, 0)
@@ -242,25 +244,25 @@ func TestMonitorSerializedUnderParallelism(t *testing.T) {
 	starts := map[int]int{}
 	dones := map[int]int{}
 	var order []string
-	res, err := Run(ep, reg, Options{Parallelism: 8, Monitor: func(e Event) {
+	res, err := Run(ep, reg, Options{Parallelism: 8, Tracer: trace.New(func(e trace.Event) {
 		if inCallback {
-			t.Error("monitor callback re-entered concurrently")
+			t.Error("consumer callback re-entered concurrently")
 		}
 		inCallback = true
 		defer func() { inCallback = false }()
 		switch e.Kind {
-		case EventAtomStart:
-			starts[e.Atom.ID]++
-			if dones[e.Atom.ID] > 0 {
-				order = append(order, fmt.Sprintf("atom %d started after done", e.Atom.ID))
+		case trace.SpanStart:
+			starts[e.Span.Atom.ID]++
+			if dones[e.Span.Atom.ID] > 0 {
+				order = append(order, fmt.Sprintf("atom %d started after done", e.Span.Atom.ID))
 			}
-		case EventAtomDone:
-			dones[e.Atom.ID]++
-			if starts[e.Atom.ID] == 0 {
-				order = append(order, fmt.Sprintf("atom %d done before start", e.Atom.ID))
+		case trace.SpanEnd:
+			dones[e.Span.Atom.ID]++
+			if starts[e.Span.Atom.ID] == 0 {
+				order = append(order, fmt.Sprintf("atom %d done before start", e.Span.Atom.ID))
 			}
 		}
-	}})
+	})})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@
 // retried up to a bound, loop atoms are unrolled by repeatedly
 // executing the loop body's execution plan (charging the body
 // platform's per-job overhead every iteration — the mechanism behind
-// the paper's Figure 2), monitoring events are emitted, and metrics
+// the paper's Figure 2), span events are emitted, and metrics
 // and the sink's records are aggregated.
 package executor
 
@@ -34,43 +34,6 @@ import (
 	"rheem/internal/core/trace"
 	"rheem/internal/data"
 )
-
-// EventKind classifies monitoring events.
-type EventKind int
-
-// Monitoring event kinds.
-const (
-	EventAtomStart EventKind = iota
-	EventAtomDone
-	EventAtomRetry
-	EventLoopIteration
-	EventPlanDone
-	// EventReplan reports that adaptive re-optimization replaced the
-	// remaining execution plan mid-run.
-	EventReplan
-	// EventFailover reports that an atom exhausted its retries on an
-	// unhealthy platform and the remaining plan was re-planned onto the
-	// surviving platforms. Atom and Err identify the failed execution;
-	// Excluded lists the platforms the replacement plan avoids.
-	EventFailover
-)
-
-// Event is one monitoring notification. Monitor callbacks are
-// serialized: the executor never invokes the monitor from two
-// goroutines at once, and events of one atom arrive in that atom's
-// program order (start, retries in attempt order, done).
-type Event struct {
-	Kind      EventKind
-	Atom      *engine.TaskAtom
-	Iteration int
-	// Attempt numbers the failed execution attempt on EventAtomRetry
-	// events, starting at 1; per atom it is strictly increasing.
-	Attempt int
-	Metrics engine.Metrics
-	Err     error
-	// Excluded lists the quarantined platforms on EventFailover events.
-	Excluded []engine.PlatformID
-}
 
 // NoRetries is the Options.MaxRetries sentinel for "fail on the first
 // error": the zero value means "default budget", so opting out of
@@ -121,9 +84,6 @@ type Options struct {
 	// operators on the surviving platforms (completed atoms stay
 	// frozen). The run fails only if no capable platform remains.
 	Failover bool
-	// Monitor, when set, receives progress events. Calls are
-	// serialized; the callback itself need not be thread-safe.
-	Monitor func(Event)
 	// AuditFactor flags operators whose actual output cardinality is
 	// off the optimizer's estimate by more than this factor in either
 	// direction (default 8; ≤1 disables the audit). Audited mismatches
@@ -139,8 +99,8 @@ type Options struct {
 	// Tracer, when set, receives the run's span stream (and keeps any
 	// consumers subscribed to it). nil gives the run a private tracer;
 	// either way Result.Trace holds the collected spans and audit
-	// trail. Monitor is implemented as one consumer of this stream, so
-	// a run with both sees identical event ordering.
+	// trail. Consumer callbacks are serialized by the tracer, so a
+	// subscriber needs no synchronization of its own.
 	Tracer *trace.Tracer
 	// Calibration propagates the learned cost-correction factors into
 	// mid-run re-planning: adaptive re-optimization and cross-platform
@@ -224,14 +184,11 @@ func Run(ep *optimizer.ExecutionPlan, reg *engine.Registry, opts Options) (*Resu
 	opts.Context = ctx
 
 	// Every run notification flows through one span stream: the tracer
-	// collects spans and the audit trail, and the Monitor callback (if
-	// any) is just another consumer of the same stream.
+	// collects spans and the audit trail, and progress observers are
+	// consumers subscribed to the same stream.
 	tr := opts.Tracer
 	if tr == nil {
 		tr = trace.New()
-	}
-	if opts.Monitor != nil {
-		tr.Subscribe(monitorConsumer(opts.Monitor))
 	}
 
 	start := time.Now()
@@ -269,34 +226,6 @@ func Run(ep *optimizer.ExecutionPlan, reg *engine.Registry, opts Options) (*Resu
 	tr.PlanDone(res.Metrics)
 	res.Trace = tr.Snapshot()
 	return res, nil
-}
-
-// monitorConsumer adapts the span stream to the legacy Monitor event
-// vocabulary — the Monitor facility is one consumer of the stream, so
-// callbacks inherit the tracer's serialization guarantee.
-func monitorConsumer(f func(Event)) trace.Consumer {
-	return func(te trace.Event) {
-		e := Event{Err: te.Err, Metrics: te.Metrics}
-		switch te.Kind {
-		case trace.SpanStart:
-			e.Kind, e.Atom = EventAtomStart, te.Span.Atom
-		case trace.SpanRetry:
-			e.Kind, e.Atom, e.Attempt = EventAtomRetry, te.Span.Atom, te.Attempt
-		case trace.SpanEnd:
-			e.Kind, e.Atom = EventAtomDone, te.Span.Atom
-		case trace.LoopIteration:
-			e.Kind, e.Atom, e.Iteration = EventLoopIteration, te.Span.Atom, te.Iteration
-		case trace.Replan:
-			e.Kind = EventReplan
-		case trace.Failover:
-			e.Kind, e.Atom, e.Excluded = EventFailover, te.Atom, te.Excluded
-		case trace.PlanDone:
-			e.Kind = EventPlanDone
-		default:
-			return
-		}
-		f(e)
-	}
 }
 
 // atomEstCost sums the optimizer's estimated cost over the atom's

@@ -9,12 +9,12 @@
 // Concurrency contract (see also DESIGN.md §executor):
 //
 //   - the channel map, Result accumulation, and the audit ledger are
-//     guarded by runState.mu; trace consumers (the Monitor callback
-//     among them) are serialized by the run's Tracer;
+//     guarded by runState.mu; trace consumers are serialized by the
+//     run's Tracer;
 //   - the first atom error wins: it cancels the run context so
 //     in-flight siblings abort, their (context) errors are discarded,
 //     and Run returns the original error without emitting
-//     EventPlanDone;
+//     trace.PlanDone;
 //   - adaptive re-optimization quiesces: on a mismatch the dispatcher
 //     stops launching atoms, drains the ones in flight, and only then
 //     re-plans — so the re-optimizer sees a frozen, consistent

@@ -377,12 +377,14 @@ func assignPlatforms(p *physical.Plan, reg *engine.Registry, opts Options, est *
 		}
 	}
 
-	// Pick the cheapest sink cell and backtrack.
+	// Pick the cheapest sink cell and backtrack. Cells live in a map,
+	// so equal totals go to the lowest platform ID: the same plan must
+	// always get the same assignment.
 	sinkCells := dp[p.SinkOp.ID]
 	var bestPl engine.PlatformID
 	bestTotal := time.Duration(math.MaxInt64)
 	for pl, c := range sinkCells {
-		if c.total < bestTotal {
+		if c.total < bestTotal || (c.total == bestTotal && pl < bestPl) {
 			bestTotal, bestPl = c.total, pl
 		}
 	}
@@ -444,7 +446,8 @@ func cheapestInput(cells map[engine.PlatformID]*choice, reg *engine.Registry, es
 			}
 			move = mc
 		}
-		if total := c.total + move; total < best.cost {
+		// Ties go to the lowest platform ID, as in the sink pick.
+		if total := c.total + move; total < best.cost || (total == best.cost && pl < best.platform) {
 			best = inPick{platform: pl, cost: total}
 			found = true
 		}

@@ -1,10 +1,12 @@
 package optimizer
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"rheem/internal/core/cost"
 	"rheem/internal/core/engine"
 	"rheem/internal/core/physical"
 	"rheem/internal/core/plan"
@@ -309,6 +311,51 @@ func TestExcludePlatformsKeepsFrozenAssignments(t *testing.T) {
 	for id, pl := range ep.Assignment {
 		if id != srcID && pl == javaengine.ID {
 			t.Errorf("re-planned op %d still on excluded platform", id)
+		}
+	}
+}
+
+// TestOptimizeBreaksCostTiesByPlatformID gives two platforms identical
+// cost models, so every plan costs exactly the same on either: the
+// assignment must not depend on map iteration order, and the tie goes
+// to the lowest platform ID.
+func TestOptimizeBreaksCostTiesByPlatformID(t *testing.T) {
+	reg := engine.NewRegistry()
+	if _, err := javaengine.Register(reg, javaengine.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sparksim.Register(reg, sparksim.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	flat := cost.ConstModel(cost.Cost{Startup: time.Millisecond, CPU: time.Millisecond})
+	for _, id := range []engine.PlatformID{javaengine.ID, sparksim.ID} {
+		if reg.RewriteCosts(id, func(cost.Model) cost.Model { return flat }) == 0 {
+			t.Fatalf("no mappings rewritten on %s", id)
+		}
+	}
+	var first map[int]engine.PlatformID
+	for i := 0; i < 100; i++ {
+		pp := physOf(t, func(b *plan.Builder) {
+			s := b.Source("s", plan.Collection(nil))
+			s.CardHint = 1000
+			f := b.Filter(s, func(data.Record) (bool, error) { return true, nil })
+			b.Collect(f)
+		})
+		ep, err := Optimize(pp, reg, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = ep.Assignment
+			continue
+		}
+		if !reflect.DeepEqual(ep.Assignment, first) {
+			t.Fatalf("optimization %d assigned %v, first assigned %v", i, ep.Assignment, first)
+		}
+	}
+	for id, pl := range first {
+		if pl != javaengine.ID {
+			t.Errorf("op %d tied onto %s, want the lowest platform ID %s", id, pl, javaengine.ID)
 		}
 	}
 }

@@ -338,6 +338,40 @@ func TestRecorderAnnotate(t *testing.T) {
 	}
 }
 
+// TestRecorderStoresPersistableTimes records a run stamped from
+// time.Now(), as live spans are: every time the recorder keeps must
+// equal its persisted form (no monotonic clock reading), or durations
+// computed from it would change across a restart. The caller's spans
+// keep their readings.
+func TestRecorderStoresPersistableTimes(t *testing.T) {
+	r := NewRecorder(4, nil)
+	start := time.Now()
+	sp := &trace.Span{
+		ID: 1, Kind: trace.KindAtom, Name: "map", Platform: "java",
+		Iteration: -1, Shard: -1, StartedAt: start, EndedAt: time.Now(),
+	}
+	r.Record(1, "live", start, time.Now(), nil, &trace.Trace{Spans: []*trace.Span{sp}})
+	if err := r.Annotate(1, &trace.Span{
+		Kind: trace.KindDispatch, Name: "dispatch", Iteration: -1, Shard: -1,
+		StartedAt: start, EndedAt: time.Now(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rec, _ := r.Get(1)
+	stored := []time.Time{rec.Profile.StartedAt, rec.Profile.EndedAt}
+	for _, s := range rec.Spans {
+		stored = append(stored, s.StartedAt, s.EndedAt)
+	}
+	for i, ts := range stored {
+		if ts != ts.Round(0) {
+			t.Errorf("stored time %d = %v carries a monotonic clock reading", i, ts)
+		}
+	}
+	if sp.StartedAt != start {
+		t.Error("Record rewrote the caller's span")
+	}
+}
+
 func TestRecorderFailedRun(t *testing.T) {
 	r := NewRecorder(4, nil)
 	rec := r.Record(3, "boom", at(0), at(2), errors.New("injected"), nil)

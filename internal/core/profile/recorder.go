@@ -90,7 +90,7 @@ func (r *Recorder) Record(runID int64, name string, started, ended time.Time, ru
 	var spans []*trace.Span
 	var audits []trace.CardAudit
 	if tr != nil {
-		spans, audits = tr.Spans, tr.Audits
+		spans, audits = wallClock(tr.Spans), tr.Audits
 	}
 	rec := &Record{
 		Schema:  Schema,
@@ -98,7 +98,7 @@ func (r *Recorder) Record(runID int64, name string, started, ended time.Time, ru
 		Name:    name,
 		Spans:   spans,
 		Audits:  audits,
-		Profile: Build(runID, name, started, ended, errStr, spans),
+		Profile: Build(runID, name, started.Round(0), ended.Round(0), errStr, spans),
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -138,8 +138,9 @@ func (r *Recorder) Annotate(runID int64, spans ...*trace.Span) error {
 		}
 	}
 	rec := *old
-	rec.Spans = append(append([]*trace.Span(nil), old.Spans...), spans...)
-	for _, sp := range spans {
+	added := wallClock(spans)
+	rec.Spans = append(append([]*trace.Span(nil), old.Spans...), added...)
+	for _, sp := range added {
 		if sp.ID == 0 {
 			maxID++
 			sp.ID = maxID
@@ -150,6 +151,23 @@ func (r *Recorder) Annotate(runID int64, spans ...*trace.Span) error {
 	r.recs[runID] = &rec
 	r.persistLocked(&rec)
 	return nil
+}
+
+// wallClock copies spans with their times stripped of Go's monotonic
+// clock reading (Round(0)). JSON persistence drops that reading, so a
+// record keeps only what it can persist: durations computed from its
+// times, like the Perfetto export's ts/dur, then come out the same
+// before and after a restart. The copies leave the caller's spans —
+// shared with the run's Report.Trace — untouched.
+func wallClock(spans []*trace.Span) []*trace.Span {
+	buf := make([]trace.Span, len(spans))
+	out := make([]*trace.Span, len(spans))
+	for i, sp := range spans {
+		buf[i] = *sp
+		buf[i].StartedAt, buf[i].EndedAt = sp.StartedAt.Round(0), sp.EndedAt.Round(0)
+		out[i] = &buf[i]
+	}
+	return out
 }
 
 // Get returns the record for a run, if still retained.

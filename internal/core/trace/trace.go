@@ -11,11 +11,10 @@
 // The Tracer is a synchronous span stream: the executor publishes span
 // lifecycle events, and any number of Consumers observe them. Consumer
 // callbacks are serialized by the tracer's lock, so a consumer needs no
-// synchronization of its own — the executor's Monitor facility is
-// implemented as exactly one such consumer (see executor.Run). Finished
-// spans and audit records accumulate in the tracer and are exported as
-// an immutable Trace snapshot, which can be dumped as flame-friendly
-// JSON (one line per span).
+// synchronization of its own (see executor.Run). Finished spans and
+// audit records accumulate in the tracer and are exported as an
+// immutable Trace snapshot, which can be dumped as flame-friendly JSON
+// (one line per span).
 package trace
 
 import (
@@ -214,7 +213,8 @@ type Event struct {
 	// Atom identifies the failed execution on Failover events, where
 	// the triggering span has already ended.
 	Atom *engine.TaskAtom
-	// Attempt is the failing attempt number on SpanRetry events.
+	// Attempt is the failing attempt number on SpanRetry events,
+	// starting at 1 and strictly increasing per span.
 	Attempt int
 	// Iteration is the completed iteration on LoopIteration events.
 	Iteration int
@@ -233,10 +233,11 @@ type Event struct {
 }
 
 // Consumer observes span-stream events. Callbacks are serialized by
-// the tracer and must not block for long or re-enter the tracer; a
-// consumer should read event fields during the callback rather than
-// retain the Span pointer, which its owner keeps mutating until
-// SpanEnd.
+// the tracer, and one span's events arrive in its program order
+// (start, retries in attempt order, end). A consumer must not block
+// for long or re-enter the tracer, and should read event fields during
+// the callback rather than retain the Span pointer, which its owner
+// keeps mutating until SpanEnd.
 type Consumer func(Event)
 
 // Tracer collects a run's spans and audit records and fans events out

@@ -301,11 +301,6 @@ func WithSchedulerPool(p *executor.Pool) RunOption {
 	return func(rc *runConfig) { rc.exec.Pool = p }
 }
 
-// WithMonitor subscribes to executor progress events.
-func WithMonitor(f func(executor.Event)) RunOption {
-	return func(rc *runConfig) { rc.exec.Monitor = f }
-}
-
 // NoRetries is the WithMaxRetries sentinel for "fail on the first
 // error" — 0 means the default budget.
 const NoRetries = executor.NoRetries

@@ -11,7 +11,6 @@ import (
 
 	"rheem"
 	"rheem/internal/core/engine"
-	"rheem/internal/core/executor"
 	"rheem/internal/core/fault"
 	"rheem/internal/core/plan"
 	"rheem/internal/core/profile"
@@ -265,25 +264,28 @@ func TestExplainShowsAtomsAndAlgorithms(t *testing.T) {
 	}
 }
 
-func TestMonitorEvents(t *testing.T) {
+func TestTraceSpansStartAndEnd(t *testing.T) {
 	ctx := newCtx(t)
-	var starts, dones int
-	_, _, err := ctx.NewJob("mon").
+	_, rep, err := ctx.NewJob("mon").
 		ReadCollection("in", datagen.Words(50, 3)).
 		Distinct().
-		Collect(rheem.WithMonitor(func(e executor.Event) {
-			switch e.Kind {
-			case executor.EventAtomStart:
-				starts++
-			case executor.EventAtomDone:
-				dones++
-			}
-		}))
+		Collect(rheem.WithTracing())
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Report.Trace holds the ended spans, so every span opened
+	// (SpanStart) must also have closed (SpanEnd).
+	var starts, dones int
+	for _, sp := range rep.Trace.Spans {
+		if !sp.StartedAt.IsZero() {
+			starts++
+		}
+		if !sp.EndedAt.IsZero() {
+			dones++
+		}
+	}
 	if starts == 0 || dones != starts {
-		t.Errorf("monitor saw %d starts, %d dones", starts, dones)
+		t.Errorf("trace saw %d starts, %d dones", starts, dones)
 	}
 }
 
